@@ -44,41 +44,10 @@ fn bench_executor_loop() {
     let a = exec.chip().to_logical(RowAddr(20));
     let b_row = exec.chip().to_logical(RowAddr(22));
     let program = ops::double_sided_rowhammer(bank, a, b_row, ops::t_ras(), 10_000);
-    // Same program, both execution paths: the default compiled replay and
-    // the `--no-compile` step interpreter. Their outputs are bit-identical
-    // (see `tests/compiled_equivalence.rs`); only the speed may differ.
-    let compiled = run_micro("executor_ds_rowhammer_10k", SAMPLES, 1, || {
+    run_micro("executor_ds_rowhammer_10k", SAMPLES, 1, || {
         exec.quiesce();
         black_box(exec.run(black_box(&program)))
     });
-    exec.set_compile(false);
-    let interp = run_micro("executor_ds_rowhammer_10k_interp", SAMPLES, 1, || {
-        exec.quiesce();
-        black_box(exec.run(black_box(&program)))
-    });
-    let speedup = interp / compiled;
-    println!("[executor_compiled] compiled replay speedup: {speedup:.1}x over interpreter");
-    let record = pud_bench::perf::PerfRecord::from_samples(
-        &pud_bench::perf::current_group(),
-        "executor_compiled_vs_interp",
-        &[compiled, interp],
-    )
-    .counter("compiled_ns", compiled)
-    .counter("interp_ns", interp)
-    .counter("speedup", speedup);
-    pud_bench::perf::append(&record);
-    // CI sets PUD_BENCH_MIN_SPEEDUP to fail the job on a fast-path
-    // regression; unset (local runs), the measurement is informational.
-    if let Some(min) = std::env::var("PUD_BENCH_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        assert!(
-            speedup >= min,
-            "compiled-replay speedup {speedup:.1}x fell below the required {min:.1}x \
-             (compiled {compiled:.0} ns vs interpreter {interp:.0} ns per run)"
-        );
-    }
 }
 
 fn bench_hc_first_search() {

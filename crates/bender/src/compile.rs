@@ -1,36 +1,22 @@
-//! Compile-then-replay fast path: lowers a [`TestProgram`] tree into a
-//! flat, branch-light op buffer the executor replays without re-walking
-//! the tree.
+//! Lowering pass: turns a [`TestProgram`] tree into the flat,
+//! branch-light op buffer the executor replays.
 //!
-//! The lowering pass resolves every logical row address to its physical
-//! address once (the interpreter calls the row-decoder scramble on every
-//! ACT of every loop iteration), keeps counted loops as counted blocks
-//! with their per-iteration aggregates (duration, ACT count, whether the
-//! body is bulk-replayable) precomputed, and stores the program-level
-//! totals the run-time checks need (duration for the refresh-window
-//! bound, command count for the fault clock). Replaying a compiled
-//! program drives the exact same per-command semantics as the
-//! interpreter — the same trace events, the same metrics and work
-//! counters, the same warm-up-then-bulk-replay loop batching — so stdout,
-//! traces, and checkpoints are byte-identical across the two paths; the
-//! speed comes from the pre-resolved addresses and from the executor
-//! pairing replay with the `pud-disturb` batching caches
-//! ([`pud_disturb::BatchState`]).
-//!
-//! What does *not* compile (the executor falls back to the interpreter):
-//! programs nested deeper than [`MAX_NEST_DEPTH`] loops, and programs
-//! referencing banks or rows outside the chip's geometry (those must take
-//! the interpreter path so its validation reports the same typed error it
-//! always has).
+//! Every program runs this way. The pass resolves every logical row
+//! address to its physical address once (rather than applying the
+//! row-decoder scramble on every ACT of every loop iteration), keeps
+//! counted loops as counted blocks with their per-iteration aggregates
+//! (duration, ACT count, whether the body is bulk-replayable)
+//! precomputed, and checks every referenced bank and row against the
+//! chip geometry. An out-of-geometry reference is reported as
+//! [`ExecError::InvalidProgram`] before anything executes. Lowering
+//! recurses through loop nests without a depth cap, as
+//! [`TestProgram::duration`] does, so every valid program lowers.
 
 use pud_dram::{BankId, Chip, DataPattern, Picos, RowAddr};
 
 use crate::command::DramCommand;
+use crate::error::ExecError;
 use crate::program::{Step, TestProgram};
-
-/// Loop-nesting depth beyond which compilation bails out (a pathological
-/// program shape no kernel in `ops` produces; the interpreter handles it).
-pub const MAX_NEST_DEPTH: u32 = 16;
 
 /// One DDR4 command with its row address pre-resolved through the chip's
 /// row-decoder scramble. Mirrors [`DramCommand`] except that `Act` carries
@@ -76,10 +62,14 @@ pub(crate) enum CompiledOp {
     Block {
         /// Iteration count.
         count: u64,
-        /// Flat slots occupied by the body (nested blocks included).
+        /// Flat slots occupied by the body (nested blocks included). A
+        /// `u32` keeps a slot at 32 bytes; some kernels lower to op
+        /// buffers large enough that a `usize` here raises the peak RSS
+        /// of `repro all`.
         len: u32,
-        /// Whether the body qualifies for warm-up-then-bulk replay
-        /// (same predicate as the interpreter's `run_loop`).
+        /// Whether the body qualifies for warm-up-then-bulk replay: it
+        /// holds only ACT/PRE/PREA/NOP commands, which have no
+        /// per-iteration observable output.
         batchable: bool,
         /// Wall-clock duration of one body iteration (batchable only).
         body_time: Picos,
@@ -88,74 +78,41 @@ pub(crate) enum CompiledOp {
     },
 }
 
-/// A [`TestProgram`] lowered into a flat op buffer plus the program-level
-/// aggregates the executor's run-time checks need.
-///
-/// Obtained from [`crate::Executor::compile`] (the addresses embed one
-/// chip's row mapping, so a compiled program is only valid on executors
-/// sharing that mapping and geometry). `Executor::try_run` compiles
-/// transparently; hold a `CompiledProgram` yourself only to amortize the
-/// lowering across many replays of the same program.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledProgram {
-    pub(crate) ops: Vec<CompiledOp>,
-    duration: Picos,
-    act_count: u64,
-    cmd_count: u64,
+const _: () = assert!(std::mem::size_of::<CompiledOp>() == 32);
+
+/// Lowers `program` against `chip`'s geometry and row mapping.
+pub(crate) fn lower(program: &TestProgram, chip: &Chip) -> Result<Vec<CompiledOp>, ExecError> {
+    let mut ops = Vec::with_capacity(program.steps().len());
+    lower_steps(program.steps(), chip, &mut ops)?;
+    Ok(ops)
 }
 
-impl CompiledProgram {
-    /// Lowers `program` against `chip`'s geometry and row mapping.
-    /// Returns `None` when the program is not compilable (out-of-geometry
-    /// references or loops nested deeper than [`MAX_NEST_DEPTH`]) — the
-    /// caller falls back to the interpreter, which reports geometry
-    /// errors through its usual validation.
-    pub(crate) fn compile(program: &TestProgram, chip: &Chip) -> Option<CompiledProgram> {
-        let mut ops = Vec::with_capacity(program.steps().len());
-        lower(program.steps(), chip, &mut ops, 0)?;
-        Some(CompiledProgram {
-            ops,
-            duration: program.duration(),
-            act_count: program.act_count(),
-            cmd_count: program.cmd_count(),
-        })
+fn check_bank(chip: &Chip, bank: BankId) -> Result<BankId, ExecError> {
+    let banks = chip.geometry().banks;
+    if bank.0 >= banks {
+        return Err(ExecError::InvalidProgram {
+            reason: format!("bank {} out of range (chip has {banks})", bank.0),
+        });
     }
-
-    /// Total wall-clock duration of the program.
-    pub fn duration(&self) -> Picos {
-        self.duration
-    }
-
-    /// Total ACT commands the program issues.
-    pub fn act_count(&self) -> u64 {
-        self.act_count
-    }
-
-    /// Total commands (of any kind) the program issues — the unit the
-    /// fault-injection clock advances in.
-    pub fn cmd_count(&self) -> u64 {
-        self.cmd_count
-    }
-
-    /// Flat op-buffer slots (commands plus block headers).
-    pub fn op_len(&self) -> usize {
-        self.ops.len()
-    }
+    Ok(bank)
 }
 
 /// Recursively appends the lowered form of `steps` to `ops`.
-fn lower(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>, depth: u32) -> Option<()> {
-    if depth > MAX_NEST_DEPTH {
-        return None;
-    }
-    let geometry = *chip.geometry();
+fn lower_steps(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>) -> Result<(), ExecError> {
     for step in steps {
         match step {
             Step::Cmd(tc) => {
                 let cmd = match tc.cmd {
                     DramCommand::Act { bank, row } => {
-                        if bank.0 >= geometry.banks || row.0 >= geometry.rows_per_bank() {
-                            return None;
+                        check_bank(chip, bank)?;
+                        let rows = chip.geometry().rows_per_bank();
+                        if row.0 >= rows {
+                            return Err(ExecError::InvalidProgram {
+                                reason: format!(
+                                    "row {} out of range (bank has {rows} rows)",
+                                    row.0
+                                ),
+                            });
                         }
                         ResolvedCmd::Act {
                             bank,
@@ -163,24 +120,16 @@ fn lower(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>, depth: u32) -> 
                             phys: chip.to_physical(row),
                         }
                     }
-                    DramCommand::Pre { bank } => {
-                        if bank.0 >= geometry.banks {
-                            return None;
-                        }
-                        ResolvedCmd::Pre { bank }
-                    }
-                    DramCommand::Rd { bank } => {
-                        if bank.0 >= geometry.banks {
-                            return None;
-                        }
-                        ResolvedCmd::Rd { bank }
-                    }
-                    DramCommand::Wr { bank, pattern } => {
-                        if bank.0 >= geometry.banks {
-                            return None;
-                        }
-                        ResolvedCmd::Wr { bank, pattern }
-                    }
+                    DramCommand::Pre { bank } => ResolvedCmd::Pre {
+                        bank: check_bank(chip, bank)?,
+                    },
+                    DramCommand::Rd { bank } => ResolvedCmd::Rd {
+                        bank: check_bank(chip, bank)?,
+                    },
+                    DramCommand::Wr { bank, pattern } => ResolvedCmd::Wr {
+                        bank: check_bank(chip, bank)?,
+                        pattern,
+                    },
                     DramCommand::PreAll => ResolvedCmd::PreAll,
                     DramCommand::Ref => ResolvedCmd::Ref,
                     DramCommand::Nop => ResolvedCmd::Nop,
@@ -202,12 +151,10 @@ fn lower(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>, depth: u32) -> 
                     body_time: Picos::ZERO,
                     body_acts: 0,
                 });
-                lower(body, chip, ops, depth + 1)?;
-                let len = u32::try_from(ops.len() - header - 1).ok()?;
-                // Same predicate as the interpreter's `run_loop`: every
-                // body step is a plain ACT/PRE/PREALL/NOP command (flat
-                // form: no nested blocks, no RD/WR/REF slots).
-                let batchable = ops[header + 1..].iter().all(|op| {
+                lower_steps(body, chip, ops)?;
+                let body = &ops[header + 1..];
+                // Flat form: no nested blocks, no RD/WR/REF slots.
+                let batchable = body.iter().all(|op| {
                     matches!(
                         op,
                         CompiledOp::Cmd {
@@ -221,7 +168,7 @@ fn lower(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>, depth: u32) -> 
                 });
                 let (mut body_time, mut body_acts) = (Picos::ZERO, 0u64);
                 if batchable {
-                    for op in &ops[header + 1..] {
+                    for op in body {
                         if let CompiledOp::Cmd { cmd, delay_after } = op {
                             body_time = body_time.saturating_add(*delay_after);
                             body_acts += matches!(cmd, ResolvedCmd::Act { .. }) as u64;
@@ -230,7 +177,9 @@ fn lower(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>, depth: u32) -> 
                 }
                 ops[header] = CompiledOp::Block {
                     count: *count,
-                    len,
+                    // A body of 2^32 slots would need over 128 GiB of op
+                    // buffer; allocation fails long before this can.
+                    len: u32::try_from(body.len()).expect("op buffer below 2^32 slots"),
                     batchable,
                     body_time,
                     body_acts,
@@ -238,7 +187,7 @@ fn lower(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>, depth: u32) -> 
             }
         }
     }
-    Some(())
+    Ok(())
 }
 
 #[cfg(test)]
@@ -269,27 +218,25 @@ mod tests {
     fn lowering_preserves_aggregates_and_resolves_rows() {
         let chip = chip();
         let p = hammer_program(10, 1000);
-        let cp = CompiledProgram::compile(&p, &chip).expect("compilable");
-        assert_eq!(cp.duration(), p.duration());
-        assert_eq!(cp.act_count(), p.act_count());
-        assert_eq!(cp.cmd_count(), p.cmd_count());
-        assert_eq!(cp.op_len(), 3, "one block header + two command slots");
-        match cp.ops[0] {
+        let ops = lower(&p, &chip).expect("valid program");
+        assert_eq!(ops.len(), 3, "one block header + two command slots");
+        match ops[0] {
             CompiledOp::Block {
                 count,
                 len,
                 batchable,
+                body_time,
                 body_acts,
-                ..
             } => {
                 assert_eq!(count, 1000);
                 assert_eq!(len, 2);
                 assert!(batchable);
-                assert_eq!(body_acts, 1);
+                assert_eq!(body_acts * count, p.act_count());
+                assert_eq!(body_time.saturating_mul(count), p.duration());
             }
             ref other => panic!("expected block header, got {other:?}"),
         }
-        match cp.ops[1] {
+        match ops[1] {
             CompiledOp::Cmd {
                 cmd: ResolvedCmd::Act { logical, phys, .. },
                 ..
@@ -309,9 +256,9 @@ mod tests {
             b.act(BankId(0), RowAddr(1), Picos::from_ns(36.0))
                 .rd(BankId(0), Picos::from_ns(15.0));
         });
-        let cp = CompiledProgram::compile(&p, &chip).expect("compilable");
+        let ops = lower(&p, &chip).expect("valid program");
         assert!(matches!(
-            cp.ops[0],
+            ops[0],
             CompiledOp::Block {
                 batchable: false,
                 ..
@@ -320,32 +267,23 @@ mod tests {
     }
 
     #[test]
-    fn out_of_geometry_programs_do_not_compile() {
+    fn out_of_geometry_programs_are_typed_errors() {
         let chip = chip();
         let mut p = TestProgram::new();
         p.act(BankId(200), RowAddr(0), Picos::from_ns(36.0));
-        assert!(CompiledProgram::compile(&p, &chip).is_none());
+        let err = lower(&p, &chip).expect_err("bad bank");
+        assert!(matches!(err, ExecError::InvalidProgram { .. }));
+        assert!(err.to_string().contains("bank 200 out of range"));
         let mut p = TestProgram::new();
-        p.act(BankId(0), RowAddr(u32::MAX), Picos::from_ns(36.0));
-        assert!(CompiledProgram::compile(&p, &chip).is_none());
-    }
-
-    #[test]
-    fn pathological_nesting_falls_back() {
-        let chip = chip();
-        fn nest(depth: u32) -> TestProgram {
-            let mut p = TestProgram::new();
-            if depth == 0 {
-                p.wait(Picos::from_ns(1.0));
-            } else {
-                p.repeat(2, |b| {
-                    b.extend(&nest(depth - 1));
-                });
-            }
-            p
-        }
-        assert!(CompiledProgram::compile(&nest(MAX_NEST_DEPTH), &chip).is_some());
-        assert!(CompiledProgram::compile(&nest(MAX_NEST_DEPTH + 2), &chip).is_none());
+        p.repeat(2, |b| {
+            b.pre(BankId(0), Picos::from_ns(15.0)).act(
+                BankId(0),
+                RowAddr(u32::MAX),
+                Picos::from_ns(36.0),
+            );
+        });
+        let err = lower(&p, &chip).expect_err("bad row");
+        assert!(err.to_string().contains("row 4294967295 out of range"));
     }
 
     #[test]
@@ -360,9 +298,9 @@ mod tests {
             });
             outer.refresh(Picos::from_ns(350.0));
         });
-        let cp = CompiledProgram::compile(&p, &chip).expect("compilable");
+        let ops = lower(&p, &chip).expect("valid program");
         // Outer block: 4 slots (inner header, 2 cmds, REF); not batchable.
-        match cp.ops[0] {
+        match ops[0] {
             CompiledOp::Block {
                 count,
                 len,
@@ -376,7 +314,7 @@ mod tests {
             ref other => panic!("expected outer block, got {other:?}"),
         }
         assert!(matches!(
-            cp.ops[1],
+            ops[1],
             CompiledOp::Block {
                 count: 50,
                 len: 2,

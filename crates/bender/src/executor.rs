@@ -1,13 +1,17 @@
-//! Command-stream executor: interprets (possibly timing-violating) DDR4
-//! command sequences against the device model and drives the disturbance
-//! engine.
+//! Command-stream executor: runs (possibly timing-violating) DDR4 command
+//! sequences against the device model and drives the disturbance engine.
 //!
-//! This is the reproduction's analog of the DRAM Bender FPGA: test programs
-//! are executed command by command with picosecond bookkeeping, and the
-//! *semantics of timing violations emerge here* — a PRE→ACT gap below the
-//! violation threshold after a fully restored row performs an in-DRAM copy
-//! (CoMRA), while an ACT‑PRE‑ACT burst with both delays violated activates
-//! a whole SiMRA row group (on chips that support it).
+//! This is the reproduction's analog of the DRAM Bender FPGA. Each test
+//! program is lowered once into a flat op buffer (see [`crate::compile`])
+//! and replayed command by command with picosecond bookkeeping. A long
+//! counted loop of plain ACT/PRE commands runs two iterations for real and
+//! replays the rest as bulk hammer events, and every hammer event goes
+//! through the disturbance engine's batching caches.
+//!
+//! The *semantics of timing violations emerge here* — a PRE→ACT gap below
+//! the violation threshold after a fully restored row performs an in-DRAM
+//! copy (CoMRA), while an ACT‑PRE‑ACT burst with both delays violated
+//! activates a whole SiMRA row group (on chips that support it).
 
 use std::sync::Arc;
 
@@ -18,12 +22,11 @@ use pud_disturb::{
 use pud_dram::{BankId, Chip, ChipGeometry, DataPattern, ModuleProfile, Picos, RowAddr, RowData};
 use pud_observe::{Counter, SharedSink, TraceEvent, TraceKind};
 
-use crate::command::DramCommand;
-use crate::compile::{CompiledOp, CompiledProgram, ResolvedCmd};
+use crate::compile::{CompiledOp, ResolvedCmd};
 use crate::env::TestEnv;
 use crate::error::ExecError;
 use crate::fault::{FaultConfig, FaultPlan, FaultState, StuckCell};
-use crate::program::{Step, TestProgram};
+use crate::program::TestProgram;
 use crate::simra_decode::simra_group;
 
 /// PRE→ACT gaps below this violate `t_RP` enough to leave charge on the
@@ -200,19 +203,12 @@ pub struct Executor {
     trace: Option<SharedSink>,
     fault: Option<FaultState>,
     cancel_countdown: u32,
-    /// Whether `try_run` lowers compilable programs onto the compiled
-    /// replay path (the `--no-compile` escape hatch clears it).
-    compile_enabled: bool,
-    /// True while a compiled replay is in flight: `apply_event` then
-    /// routes through the engine's batching caches.
-    batched: bool,
-    /// Pure-function caches for the compiled path (vulnerability samples,
-    /// factor-curve products, victim data summaries). Persists across
-    /// runs — every entry is either immutable or invalidated on data
-    /// writes.
+    /// Pure-function caches every hammer event routes through
+    /// (vulnerability samples, factor-curve products, victim data
+    /// summaries). Persists across runs — every entry is either immutable
+    /// or invalidated on data writes.
     batch: BatchState,
-    /// Reusable flip buffer: keeps `apply_event` allocation-free on both
-    /// paths.
+    /// Reusable flip buffer: keeps `apply_event` allocation-free.
     flip_scratch: Vec<Bitflip>,
 }
 
@@ -264,27 +260,12 @@ impl Executor {
             trace: pud_observe::global_sink(),
             fault: None,
             cancel_countdown: CANCEL_CHECK_INTERVAL,
-            compile_enabled: true,
-            batched: false,
             batch: BatchState::new(),
             flip_scratch: Vec::new(),
         }
     }
 
-    /// Enables or disables the compiled fast path of [`Executor::try_run`]
-    /// (enabled by default). Results are byte-identical either way; the
-    /// escape hatch exists for A/B measurement and debugging.
-    pub fn set_compile(&mut self, enabled: bool) {
-        self.compile_enabled = enabled;
-    }
-
-    /// Whether `try_run` uses the compiled fast path for compilable
-    /// programs.
-    pub fn compile_enabled(&self) -> bool {
-        self.compile_enabled
-    }
-
-    /// Cache statistics of the compiled path's batching state.
+    /// Cache statistics of the executor's batching state.
     pub fn batch_stats(&self) -> BatchStats {
         self.batch.stats()
     }
@@ -555,84 +536,17 @@ impl Executor {
     /// Executes a test program, surfacing invalid programs and injected
     /// faults as typed errors instead of panics.
     ///
-    /// A program that fails validation, or whose span crosses a scheduled
-    /// fault, is rejected *before any command executes* — mirroring the
-    /// real infrastructure, where a failed run's readout is discarded
-    /// wholesale. Rejected runs therefore mutate no device state (beyond
-    /// the fault clock), which is what makes retrying a transient fault
-    /// reproduce the fault-free measurement.
+    /// Every program is lowered onto this chip's geometry and row mapping
+    /// (see [`crate::compile`]) and the flat op buffer is replayed. Checks
+    /// run in a fixed order: the refresh-window bound, then the geometry
+    /// bounds (reported by the lowering pass), then the fault clock. A
+    /// program that fails any of them is rejected *before any command
+    /// executes* — mirroring the real infrastructure, where a failed run's
+    /// readout is discarded wholesale. Rejected runs therefore mutate no
+    /// device state (beyond the fault clock), which is what makes retrying
+    /// a transient fault reproduce the fault-free measurement.
     pub fn try_run(&mut self, program: &TestProgram) -> Result<RunReport, ExecError> {
         crate::cancel_check();
-        self.validate(program)?;
-        self.check_fault(program.cmd_count())?;
-        if self.compile_enabled {
-            // Validation passed, so the only reason compilation can fail
-            // here is a pathological program shape — fall through to the
-            // interpreter in that case.
-            if let Some(compiled) = CompiledProgram::compile(program, &self.chip) {
-                return Ok(self.replay(&compiled));
-            }
-        }
-        self.report = RunReport::default();
-        let start_clock = self.clock;
-        let start_acts = self.acts;
-        self.run_steps(program.steps());
-        self.flush_all_pending();
-        self.report.elapsed = self.clock - start_clock;
-        self.report.acts = self.acts - start_acts;
-        Ok(std::mem::take(&mut self.report))
-    }
-
-    /// Lowers a program onto this chip's geometry and row mapping for
-    /// repeated replay via [`Executor::run_compiled`]. Returns `None` when
-    /// the program is invalid for this chip or not compilable —
-    /// [`Executor::try_run`] then reports the usual typed error (or
-    /// interprets the program).
-    pub fn compile(&self, program: &TestProgram) -> Option<CompiledProgram> {
-        if self.validate_steps(program.steps()).is_err() {
-            return None;
-        }
-        CompiledProgram::compile(program, &self.chip)
-    }
-
-    /// Executes a pre-compiled program, performing the same run-time
-    /// checks as [`Executor::try_run`] (cancellation, the refresh-window
-    /// bound, the fault clock) before replaying the op buffer.
-    pub fn run_compiled(&mut self, compiled: &CompiledProgram) -> Result<RunReport, ExecError> {
-        crate::cancel_check();
-        if self.env.enforce_refresh_window && !self.env.refresh_enabled {
-            let refw = Picos::from_ns(pud_disturb::calib::T_REFW_NS);
-            if compiled.duration() > refw {
-                return Err(ExecError::RefreshWindowExceeded {
-                    duration: compiled.duration(),
-                    refw,
-                });
-            }
-        }
-        self.check_fault(compiled.cmd_count())?;
-        Ok(self.replay(compiled))
-    }
-
-    /// Replays a compiled op buffer. Identical observable semantics to
-    /// `run_steps` over the source program; hammer events route through
-    /// the engine's batching caches.
-    fn replay(&mut self, compiled: &CompiledProgram) -> RunReport {
-        self.report = RunReport::default();
-        let start_clock = self.clock;
-        let start_acts = self.acts;
-        self.batched = true;
-        self.run_ops(&compiled.ops);
-        self.flush_all_pending();
-        self.batched = false;
-        self.report.elapsed = self.clock - start_clock;
-        self.report.acts = self.acts - start_acts;
-        std::mem::take(&mut self.report)
-    }
-
-    /// Invariant checks on a caller-supplied program (formerly in-line
-    /// `assert!`s): the refresh-window execution bound and geometry bounds
-    /// on every referenced bank and row.
-    fn validate(&self, program: &TestProgram) -> Result<(), ExecError> {
         if self.env.enforce_refresh_window && !self.env.refresh_enabled {
             let refw = Picos::from_ns(pud_disturb::calib::T_REFW_NS);
             if program.duration() > refw {
@@ -642,106 +556,19 @@ impl Executor {
                 });
             }
         }
-        self.validate_steps(program.steps())
+        let ops = crate::compile::lower(program, &self.chip)?;
+        self.check_fault(program.cmd_count())?;
+        self.report = RunReport::default();
+        let start_clock = self.clock;
+        let start_acts = self.acts;
+        self.run_ops(&ops);
+        self.flush_all_pending();
+        self.report.elapsed = self.clock - start_clock;
+        self.report.acts = self.acts - start_acts;
+        Ok(std::mem::take(&mut self.report))
     }
 
-    fn validate_steps(&self, steps: &[Step]) -> Result<(), ExecError> {
-        let geometry = self.chip.geometry();
-        let check_bank = |bank: BankId| -> Result<(), ExecError> {
-            if bank.0 >= geometry.banks {
-                return Err(ExecError::InvalidProgram {
-                    reason: format!("bank {} out of range (chip has {})", bank.0, geometry.banks),
-                });
-            }
-            Ok(())
-        };
-        for step in steps {
-            match step {
-                Step::Cmd(tc) => match tc.cmd {
-                    DramCommand::Act { bank, row } => {
-                        check_bank(bank)?;
-                        if row.0 >= geometry.rows_per_bank() {
-                            return Err(ExecError::InvalidProgram {
-                                reason: format!(
-                                    "row {} out of range (bank has {} rows)",
-                                    row.0,
-                                    geometry.rows_per_bank()
-                                ),
-                            });
-                        }
-                    }
-                    DramCommand::Pre { bank }
-                    | DramCommand::Rd { bank }
-                    | DramCommand::Wr { bank, .. } => check_bank(bank)?,
-                    DramCommand::PreAll | DramCommand::Ref | DramCommand::Nop => {}
-                },
-                Step::Loop { body, .. } => self.validate_steps(body)?,
-            }
-        }
-        Ok(())
-    }
-
-    fn run_steps(&mut self, steps: &[Step]) {
-        for step in steps {
-            match step {
-                Step::Cmd(tc) => {
-                    self.exec_cmd(tc.cmd);
-                    self.clock = self.clock.saturating_add(tc.delay_after);
-                }
-                Step::Loop { count, body } => self.run_loop(*count, body),
-            }
-        }
-    }
-
-    fn run_loop(&mut self, count: u64, body: &[Step]) {
-        let batchable = body.iter().all(Step::is_batchable_cmd);
-        if count <= 3 || !batchable {
-            for _ in 0..count {
-                self.run_steps(body);
-            }
-            return;
-        }
-        // Warm up one iteration (side-history effects), record the steady
-        // state from the second, then replay the recorded events in bulk.
-        self.run_steps(body);
-        self.recording = Some(Vec::new());
-        self.run_steps(body);
-        let recorded = self.recording.take().expect("recording was on");
-        let remaining = count - 2;
-        for ev in &recorded {
-            let mut bulk = *ev;
-            bulk.repeat = ev.repeat.saturating_mul(remaining);
-            self.apply_event(&bulk);
-        }
-        let body_time = body
-            .iter()
-            .fold(Picos::ZERO, |acc, s| acc.saturating_add(s.duration()));
-        self.clock = self
-            .clock
-            .saturating_add(body_time.saturating_mul(remaining));
-        let body_acts: u64 = body.iter().map(Step::act_count).sum();
-        self.acts += body_acts * remaining;
-        self.metrics.acts.add(body_acts * remaining);
-        // The replayed iterations never reach `exec_cmd`; account their
-        // elided commands here (batchable bodies contain only Cmd steps).
-        let elided_cmds = body.len() as u64 * remaining;
-        pud_observe::live::add_commands(elided_cmds);
-        pud_observe::profile::work_commands(elided_cmds);
-        // Per-command events are elided for replayed iterations; one batch
-        // marker keeps the trace accountable for them.
-        self.trace(TraceKind::LoopBatch {
-            iterations: remaining,
-            acts: body_acts * remaining,
-        });
-        let now = self.clock;
-        for ev in &recorded {
-            if let Some(h) = self.hist.get_mut(&(ev.bank.0, ev.victim.0)) {
-                h.last_end = now;
-            }
-        }
-    }
-
-    /// Walks a flat op buffer (`run_steps` over compiled slots).
+    /// Walks a flat op buffer, one command slot or counted block at a time.
     fn run_ops(&mut self, ops: &[CompiledOp]) {
         let mut i = 0;
         while i < ops.len() {
@@ -766,9 +593,11 @@ impl Executor {
         }
     }
 
-    /// `run_loop` over a compiled block: identical warm-up-then-bulk
-    /// semantics, with the batchability predicate and the per-iteration
-    /// aggregates precomputed at compile time.
+    /// Runs a counted block. Short or non-batchable blocks iterate their
+    /// body; otherwise one warm-up iteration and one recorded iteration are
+    /// followed by a bulk replay of the recorded hammer events, with the
+    /// batchability predicate and the per-iteration aggregates precomputed
+    /// by the lowering pass.
     fn run_block(
         &mut self,
         count: u64,
@@ -820,9 +649,9 @@ impl Executor {
         }
     }
 
-    /// `exec_cmd` over a pre-resolved command: same cancellation cadence,
-    /// telemetry, trace events, and metrics — ACT skips the row-decoder
-    /// scramble, which the compiler already applied.
+    /// Executes one pre-resolved command: cancellation cadence, telemetry,
+    /// trace events, and metrics. ACT carries its physical row already —
+    /// the lowering pass applied the row-decoder scramble once.
     fn exec_resolved(&mut self, cmd: ResolvedCmd) {
         self.cancel_countdown -= 1;
         if self.cancel_countdown == 0 {
@@ -878,67 +707,6 @@ impl Executor {
             }
             ResolvedCmd::Nop => {}
         }
-    }
-
-    fn exec_cmd(&mut self, cmd: DramCommand) {
-        self.cancel_countdown -= 1;
-        if self.cancel_countdown == 0 {
-            self.cancel_countdown = CANCEL_CHECK_INTERVAL;
-            crate::cancel_check();
-        }
-        // Telemetry (one relaxed load each when off): the live counter
-        // feeds the `--progress` cmds/s readout, the profiler attributes
-        // the command to the innermost span.
-        pud_observe::live::add_commands(1);
-        pud_observe::profile::work_commands(1);
-        match cmd {
-            DramCommand::Act { bank, row } => {
-                self.trace(TraceKind::Act {
-                    bank: bank.0,
-                    row: row.0,
-                });
-                self.do_act(bank, row);
-            }
-            DramCommand::Pre { bank } => {
-                self.metrics.pres.incr();
-                self.trace(TraceKind::Pre { bank: bank.0 });
-                self.do_pre(bank);
-            }
-            DramCommand::PreAll => {
-                for b in 0..self.banks.len() as u8 {
-                    self.metrics.pres.incr();
-                    self.trace(TraceKind::Pre { bank: b });
-                    self.do_pre(BankId(b));
-                }
-            }
-            DramCommand::Rd { bank } => {
-                self.metrics.reads.incr();
-                self.trace(TraceKind::Rd { bank: bank.0 });
-                self.do_rd(bank);
-            }
-            DramCommand::Wr { bank, pattern } => {
-                self.metrics.writes.incr();
-                self.trace(TraceKind::Wr { bank: bank.0 });
-                self.do_wr(bank, pattern);
-            }
-            DramCommand::Ref => {
-                self.metrics.refs.incr();
-                self.trace(TraceKind::Ref);
-                self.do_ref();
-                self.refs_seen += 1;
-                if self.refs_seen.is_multiple_of(REFS_PER_WINDOW as u64) {
-                    self.trace(TraceKind::RefreshWindow {
-                        refs: self.refs_seen,
-                    });
-                }
-            }
-            DramCommand::Nop => {}
-        }
-    }
-
-    fn do_act(&mut self, bank: BankId, logical: RowAddr) {
-        let phys = self.chip.to_physical(logical);
-        self.do_act_resolved(bank, logical, phys);
     }
 
     fn do_act_resolved(&mut self, bank: BankId, logical: RowAddr, phys: RowAddr) {
@@ -1202,15 +970,14 @@ impl Executor {
 
     fn aggressor_summary(&mut self, bank: BankId, row: RowAddr) -> DataSummary {
         match self.chip.bank(bank).ok().and_then(|b| b.row(row)) {
-            // On the compiled path existing rows go through the batch
+            // Existing rows go through the batch
             // summary cache (shared with the engine's victim summaries —
             // same key, same data, same invalidation). Missing rows stay
             // uncached: they can come into existence without an
             // invalidation call, so their default must never stick.
-            Some(r) if self.batched => self
+            Some(r) => self
                 .batch
                 .summary_or_else(bank, row, || DataSummary::from_row(r)),
-            Some(r) => DataSummary::from_row(r),
             None => DataSummary {
                 ones_fraction: 0.5,
                 checker_fraction: 0.5,
@@ -1428,18 +1195,8 @@ impl Executor {
         let bank = self.chip.bank_mut(ev.bank).expect("event banks are valid");
         let victim_data = bank.row_mut_or(ev.victim, default_fill);
         self.flip_scratch.clear();
-        if self.batched {
-            self.engine
-                .hammer_batched(ev, victim_data, &mut self.batch, &mut self.flip_scratch);
-        } else {
-            self.engine
-                .hammer_into(ev, victim_data, &mut self.flip_scratch);
-            // Uncached path, but the summary cache may hold this row from
-            // an earlier compiled run: drop it if this event flipped bits.
-            if !self.flip_scratch.is_empty() {
-                self.batch.invalidate_row(ev.bank, ev.victim);
-            }
-        }
+        self.engine
+            .hammer_batched(ev, victim_data, &mut self.batch, &mut self.flip_scratch);
         if !self.flip_scratch.is_empty() {
             self.metrics.flips.add(self.flip_scratch.len() as u64);
             let logical = self.chip.to_logical(ev.victim);

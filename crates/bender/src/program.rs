@@ -54,25 +54,6 @@ impl Step {
             }
         }
     }
-
-    /// Whether this step is a command a loop replay may elide: plain
-    /// ACT/PRE/PREA/NOP steps have no per-iteration observable output
-    /// (no captured reads, no data writes, no refresh sweeps), so a loop
-    /// whose body is made entirely of them can be warmed twice and then
-    /// replayed as bulk hammer events. Both the interpreter's loop
-    /// batching and the compiler's `Block` lowering use this predicate.
-    pub fn is_batchable_cmd(&self) -> bool {
-        matches!(
-            self,
-            Step::Cmd(tc) if matches!(
-                tc.cmd,
-                DramCommand::Act { .. }
-                    | DramCommand::Pre { .. }
-                    | DramCommand::PreAll
-                    | DramCommand::Nop
-            )
-        )
-    }
 }
 
 /// A complete test program.

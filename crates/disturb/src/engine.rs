@@ -95,36 +95,26 @@ impl DisturbEngine {
     /// resulting bitflips into `victim_data`.
     ///
     /// Returns the flips produced by this call (possibly empty).
+    ///
+    /// This is the uncached reference computation:
+    /// [`DisturbEngine::hammer_batched`] must match it bit for bit.
     pub fn hammer(&mut self, ev: &HammerEvent, victim_data: &mut RowData) -> Vec<Bitflip> {
-        let mut flips = Vec::new();
-        self.hammer_into(ev, victim_data, &mut flips);
-        flips
-    }
-
-    /// As [`DisturbEngine::hammer`], but appends the produced flips to a
-    /// caller-provided buffer instead of allocating a fresh `Vec` per
-    /// event — the executor keeps one scratch buffer per run so the
-    /// interpreter hot loop stays allocation-free.
-    pub fn hammer_into(
-        &mut self,
-        ev: &HammerEvent,
-        victim_data: &mut RowData,
-        out: &mut Vec<Bitflip>,
-    ) {
         // A batched event with repeat N stands for N applied disturbance
         // events; the profiler's work counter weights it accordingly.
         pud_observe::profile::work_events(ev.repeat);
         let vuln = self.model.row_vuln(ev.bank, ev.victim);
         let w = self.event_weight(ev, &vuln);
-        self.apply_weighted(ev, &vuln, w, victim_data, out, None);
+        let mut flips = Vec::new();
+        self.apply_weighted(ev, &vuln, w, victim_data, &mut flips, None);
+        flips
     }
 
-    /// As [`DisturbEngine::hammer_into`], with the per-row vulnerability
+    /// As [`DisturbEngine::hammer`], with the per-row vulnerability
     /// sample, the per-event factor-curve product, and the victim data
     /// summary served from `batch`'s caches. Every cached value is a pure
     /// function of its key, so the accumulated disturbance and the
     /// materialized flips are bit-identical to the uncached path — the
-    /// compiled executor replay leans on this.
+    /// executor leans on this.
     pub fn hammer_batched(
         &mut self,
         ev: &HammerEvent,
@@ -162,7 +152,7 @@ impl DisturbEngine {
         self.apply_weighted(ev, &vuln, w, victim_data, out, Some(batch));
     }
 
-    /// Shared back half of [`DisturbEngine::hammer_into`] and
+    /// Shared back half of [`DisturbEngine::hammer`] and
     /// [`DisturbEngine::hammer_batched`]: accumulates the weighted
     /// disturbance and evaluates both flip classes against the (stale, as
     /// of before this event) state snapshot.
