@@ -1,5 +1,5 @@
-//! Cycle-level memory-system simulator for the PuDHammer mitigation
-//! evaluation (§8.2 of the paper).
+//! Event-driven memory-system simulator (1 ns resolution) for the
+//! PuDHammer mitigation evaluation (§8.2 of the paper).
 //!
 //! This crate plays the role of Ramulator 2.0 in the paper: a DDR5 memory
 //! system with an FR-FCFS+Cap-4 scheduler, periodic refresh, and the

@@ -98,11 +98,18 @@ pub struct Prac {
 
 impl Prac {
     /// Creates counters for `banks` banks of `rows_per_bank` rows.
+    ///
+    /// [`Mitigation::None`] never counts, so its tables stay empty.
     pub fn new(mitigation: Mitigation, banks: usize, rows_per_bank: u32) -> Prac {
+        let rows = if mitigation == Mitigation::None {
+            0
+        } else {
+            rows_per_bank as usize
+        };
         Prac {
             mitigation,
             rows_per_bank,
-            counters: vec![vec![0; rows_per_bank as usize]; banks],
+            counters: vec![vec![0; rows]; banks],
             rfms_serviced: 0,
             backoffs_metric: pud_observe::counter("memsim.abo_backoffs"),
             rfm_metric: pud_observe::counter("memsim.rfm_issued"),
@@ -262,6 +269,8 @@ mod tests {
         for _ in 0..100_000 {
             assert!(!p.on_activation(0, &[0], ActKind::Simra, 47).alert);
         }
+        assert_eq!(p.max_counter(0), 0);
+        assert_eq!(p.rows_per_bank(), 8);
     }
 
     #[test]

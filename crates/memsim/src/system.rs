@@ -1,8 +1,9 @@
-//! The cycle-level system model: five cores, an FR-FCFS+Cap memory
-//! controller, refresh, and the PRAC mitigation hooks.
+//! The system model: five cores, an FR-FCFS+Cap memory controller,
+//! refresh, and the PRAC mitigation hooks, advanced event to event at
+//! 1 ns resolution.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use pud_observe::Counter;
@@ -103,6 +104,57 @@ impl CoreSim {
             (bank, row)
         }
     }
+
+    /// Earliest nanosecond after `now`, capped at `bound`, at which
+    /// `step_core` can do more for this core than retire one quiet tick
+    /// (`ipc_per_ns` instructions, no miss, budget not reached).
+    fn next_event(
+        &self,
+        now: u64,
+        bound: u64,
+        queue_has_room: bool,
+        cfg: &SystemConfig,
+        budget: f64,
+    ) -> u64 {
+        if self.finish_ns.is_some() {
+            return bound;
+        }
+        if self.pending.is_some() {
+            return if queue_has_room { now + 1 } else { bound };
+        }
+        if self.stalled_for_mlp {
+            return self
+                .completions
+                .peek()
+                .map_or(bound, |&Reverse(t)| t.min(bound));
+        }
+        // Free-running: dry-run the tick recurrence of `step_core`.
+        let slack = cfg.ipc_per_ns;
+        let (mut to_next_miss, mut instr) = (self.to_next_miss, self.instr);
+        let mut t = now + 1;
+        while t < bound && to_next_miss > slack {
+            to_next_miss -= slack;
+            instr += slack;
+            if instr >= budget {
+                break;
+            }
+            t += 1;
+        }
+        t
+    }
+
+    /// Replays `ticks` quiet ticks of a free-running core one at a time,
+    /// exactly as `step_core` would have retired them (a closed form
+    /// would round differently).
+    fn retire_quiet_ticks(&mut self, ticks: u64, cfg: &SystemConfig) {
+        if self.finish_ns.is_some() || self.pending.is_some() || self.stalled_for_mlp {
+            return;
+        }
+        for _ in 0..ticks {
+            self.to_next_miss -= cfg.ipc_per_ns;
+            self.instr += cfg.ipc_per_ns;
+        }
+    }
 }
 
 /// Outcome of one mix execution.
@@ -124,6 +176,12 @@ pub struct RunStats {
 /// `pud_period_ns = None` disables the synthetic PuD workload; `Some(n)`
 /// issues one SiMRA-32 plus one CoMRA operation every `n` nanoseconds
 /// (§8.2's synthetic workload).
+///
+/// Time has 1 ns resolution but is advanced event to event: each event
+/// nanosecond runs refresh, the PuD push, every core, and the scheduler,
+/// then the loop jumps to the earliest nanosecond at which any of them
+/// can act again. Free-running cores retire the skipped ticks one at a
+/// time, so the result is bit-identical to stepping every nanosecond.
 pub fn run_mix(
     cfg: &SystemConfig,
     timing: &DramTiming,
@@ -133,6 +191,7 @@ pub fn run_mix(
     instr_budget: u64,
     seed: u64,
 ) -> RunStats {
+    let _span = pud_observe::span("memsim.run_mix");
     let mut cores: Vec<CoreSim> = mix
         .benchmarks
         .iter()
@@ -147,10 +206,10 @@ pub fn run_mix(
         .collect();
     let mut banks: Vec<BankSim> = vec![BankSim::default(); cfg.banks];
     let mut prac = Prac::new(mitigation, cfg.banks, cfg.rows_per_bank);
-    // Fetched once: `schedule` runs every simulated nanosecond, so the
-    // registry lock must stay out of the hot loop.
+    // Fetched once: `schedule` runs at every event, so the registry lock
+    // must stay out of the hot loop.
     let scheduled_metric = pud_observe::counter("memsim.requests_scheduled");
-    let mut queue: VecDeque<MemRequest> = VecDeque::with_capacity(cfg.queue_depth);
+    let mut queue: Vec<MemRequest> = Vec::with_capacity(cfg.queue_depth);
     let mut channel_busy_until = 0u64;
     let mut next_refresh = timing.t_refi;
     let mut next_pud = pud_period_ns.unwrap_or(u64::MAX);
@@ -159,8 +218,10 @@ pub fn run_mix(
     let unloaded = (instr_budget as f64 / cfg.ipc_per_ns) as u64;
     let cap_ns = unloaded.saturating_mul(400).max(2_000_000);
     let budget = instr_budget as f64;
+    let mut wakeups = 0u64;
     let mut now = 0u64;
     while now < cap_ns {
+        wakeups += 1;
         // Refresh.
         if now >= next_refresh {
             for b in &mut banks {
@@ -172,7 +233,7 @@ pub fn run_mix(
         // Synthetic PuD workload: one SiMRA-32 and one CoMRA per period.
         if now >= next_pud && queue.len() + 2 <= cfg.queue_depth {
             let pud_bank = cfg.banks - 1;
-            queue.push_back(MemRequest {
+            queue.push(MemRequest {
                 core: usize::MAX,
                 bank: pud_bank,
                 row: 0,
@@ -180,7 +241,7 @@ pub fn run_mix(
                 write: false,
                 arrival: now,
             });
-            queue.push_back(MemRequest {
+            queue.push(MemRequest {
                 core: usize::MAX,
                 bank: pud_bank,
                 row: PUD_SIMRA_ROWS,
@@ -196,7 +257,7 @@ pub fn run_mix(
             step_core(i, core, cfg, &mut queue, now, budget);
         }
         // Scheduling: FR-FCFS with a row-hit cap.
-        schedule(
+        let scheduler_wake = schedule(
             cfg,
             timing,
             &mut queue,
@@ -210,8 +271,22 @@ pub fn run_mix(
         if cores.iter().all(|c| c.finish_ns.is_some()) {
             break;
         }
-        now += 1;
+        // Jump to the next nanosecond at which any of the steps above can
+        // do more than a free-running core's per-tick retirement.
+        let mut next = cap_ns.min(next_refresh).min(scheduler_wake);
+        if queue.len() + 2 <= cfg.queue_depth {
+            next = next.min(next_pud.max(now + 1));
+        }
+        let queue_has_room = queue.len() < cfg.queue_depth;
+        for core in &cores {
+            next = core.next_event(now, next, queue_has_room, cfg, budget);
+        }
+        for core in &mut cores {
+            core.retire_quiet_ticks(next - now - 1, cfg);
+        }
+        now = next;
     }
+    pud_observe::counter("memsim.wakeups").add(wakeups);
     let core_ipc = cores
         .iter()
         .map(|c| {
@@ -231,7 +306,7 @@ fn step_core(
     index: usize,
     core: &mut CoreSim,
     cfg: &SystemConfig,
-    queue: &mut VecDeque<MemRequest>,
+    queue: &mut Vec<MemRequest>,
     now: u64,
     budget: f64,
 ) {
@@ -253,7 +328,7 @@ fn step_core(
     // A request stalled on a full controller queue retries first.
     if let Some(req) = core.pending {
         if queue.len() < cfg.queue_depth {
-            queue.push_back(req);
+            queue.push(req);
             core.pending = None;
         } else {
             return;
@@ -295,7 +370,7 @@ fn step_core(
             core.outstanding += 1;
         }
         if queue.len() < cfg.queue_depth {
-            queue.push_back(req);
+            queue.push(req);
         } else {
             core.pending = Some(req);
             break;
@@ -306,44 +381,28 @@ fn step_core(
     }
 }
 
+/// Issues at most one request at `now` and returns the earliest later
+/// nanosecond at which the scheduler can issue again, provided the queue
+/// and the bank state do not change before then.
 #[allow(clippy::too_many_arguments)]
 fn schedule(
     cfg: &SystemConfig,
     timing: &DramTiming,
-    queue: &mut VecDeque<MemRequest>,
+    queue: &mut Vec<MemRequest>,
     banks: &mut [BankSim],
     prac: &mut Prac,
     cores: &mut [CoreSim],
     channel_busy_until: &mut u64,
     now: u64,
     scheduled_metric: &Arc<Counter>,
-) {
-    if queue.is_empty() {
-        return;
-    }
-    // First ready row-hit under the cap, else the oldest ready request.
-    let mut pick: Option<usize> = None;
-    for (i, req) in queue.iter().enumerate() {
-        let bank = &banks[req.bank];
-        if bank.busy_until > now {
-            continue;
-        }
-        let is_hit = req.kind == ActKind::Normal
-            && bank.open_row == Some(req.row)
-            && bank.consecutive_hits < cfg.cap;
-        if is_hit {
-            pick = Some(i);
-            break;
-        }
-        if pick.is_none() {
-            pick = Some(i);
-        }
-    }
-    let Some(idx) = pick else { return };
+) -> u64 {
+    let (pick, next_ready) = pick_request(cfg, queue, banks, now);
+    let Some(idx) = pick else { return next_ready };
     // Column transfers need the shared data channel.
     let req = queue[idx];
     if req.kind == ActKind::Normal && *channel_busy_until > now {
-        return;
+        // The pick stays this request until another bank frees up.
+        return next_ready.min(*channel_busy_until);
     }
     queue.remove(idx);
     scheduled_metric.incr();
@@ -384,7 +443,7 @@ fn schedule(
             }
         }
         ActKind::Simra => {
-            let rows: Vec<u32> = (req.row..req.row + PUD_SIMRA_ROWS).collect();
+            let rows: [u32; PUD_SIMRA_ROWS as usize] = std::array::from_fn(|i| req.row + i as u32);
             let outcome = prac.on_activation(req.bank, &rows, ActKind::Simra, timing.t_rc);
             let busy = timing.t_simra_op + outcome.extra_latency_ns;
             bank.open_row = None;
@@ -426,6 +485,45 @@ fn schedule(
         // Benchmark request: notify its core.
         cores[req.core].completions.push(Reverse(completion));
     }
+    // Issuing changed the bank and channel state: look at the next tick.
+    let (pick, next_ready) = pick_request(cfg, queue, banks, now + 1);
+    match pick.map(|i| queue[i].kind) {
+        None => next_ready,
+        Some(ActKind::Normal) => next_ready.min((*channel_busy_until).max(now + 1)),
+        Some(_) => now + 1,
+    }
+}
+
+/// The request FR-FCFS+Cap picks at `at` (the first ready row hit under
+/// the cap, else the oldest ready request), and the earliest nanosecond
+/// after `at` at which the bank of a request scanned before the pick was
+/// settled frees up (the only way the pick can change).
+fn pick_request(
+    cfg: &SystemConfig,
+    queue: &[MemRequest],
+    banks: &[BankSim],
+    at: u64,
+) -> (Option<usize>, u64) {
+    let mut pick: Option<usize> = None;
+    let mut next_ready = u64::MAX;
+    for (i, req) in queue.iter().enumerate() {
+        let bank = &banks[req.bank];
+        if bank.busy_until > at {
+            next_ready = next_ready.min(bank.busy_until);
+            continue;
+        }
+        let is_hit = req.kind == ActKind::Normal
+            && bank.open_row == Some(req.row)
+            && bank.consecutive_hits < cfg.cap;
+        if is_hit {
+            pick = Some(i);
+            break;
+        }
+        if pick.is_none() {
+            pick = Some(i);
+        }
+    }
+    (pick, next_ready)
 }
 
 /// DDR5 back-off (ABO): the chip asserts alert, the controller drains and

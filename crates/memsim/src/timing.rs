@@ -1,10 +1,12 @@
 //! DDR5 timing and system configuration for the mitigation evaluation.
 //!
 //! The §8.2 evaluation models a 4.2 GHz five-core system with dual-rank
-//! DDR5 DRAM and an FR-FCFS+Cap-4 scheduler (paper footnote 9). The
-//! simulator advances in 1 ns ticks, which is coarse enough to be fast and
-//! fine enough to resolve every DDR5 timing constraint that matters for
-//! the mitigation overhead shape.
+//! DDR5 DRAM and an FR-FCFS+Cap-4 scheduler (paper footnote 9). Simulated
+//! time has 1 ns resolution, fine enough to resolve every DDR5 timing
+//! constraint that matters for the mitigation overhead shape. The
+//! simulator is event-driven: it visits only the nanoseconds at which a
+//! refresh, a PuD operation, a core, or the scheduler can act, with
+//! results identical to stepping every nanosecond.
 
 /// DDR5 timing parameters in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
