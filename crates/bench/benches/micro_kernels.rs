@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the simulator kernels: the disturbance engine's
 //! hammer path, the HC_first bisection, the executor's batched hammer
-//! loops, and one memory-system simulation slice.
+//! loops, the SiMRA charge-sharing majority, and one memory-system
+//! simulation slice.
 //!
 //! Runs on the dependency-free `pud_bench::run_micro` runner; each bench's
 //! per-iteration timings also land in the `bench.*` histograms of the
@@ -10,7 +11,7 @@ use std::hint::black_box;
 
 use pud_bench::run_micro;
 use pud_bender::{ops, Executor};
-use pud_disturb::{AggressionKind, DataSummary, DisturbEngine, HammerEvent};
+use pud_disturb::{rng, AggressionKind, DataSummary, DisturbEngine, HammerEvent};
 use pud_dram::{profiles::TESTED_MODULES, BankId, ChipGeometry, DataPattern, RowAddr, RowData};
 use pudhammer::fleet::{sweep, ChipUnderTest, Fleet, FleetConfig};
 use pudhammer::hcfirst::{measure_hc_first, HcSearch};
@@ -122,6 +123,25 @@ fn bench_fleet_sweep_serial_vs_parallel() {
     pud_bench::perf::append(&record);
 }
 
+/// One SiMRA-32 charge share with its tie-break row: a 33-row majority at
+/// the quick geometry's row width, over random data.
+fn bench_dram_majority() {
+    let cols = ChipGeometry::scaled_for_tests().cols_per_row;
+    let rows: Vec<RowData> = (0..33u64)
+        .map(|i| {
+            let mut row = RowData::filled(cols, DataPattern::ZEROS);
+            for col in 0..cols {
+                row.set_bit(col, rng::mix_all(&[i, u64::from(col)]) & 1 == 1);
+            }
+            row
+        })
+        .collect();
+    let refs: Vec<&RowData> = rows.iter().collect();
+    run_micro("dram_majority_33x1024", SAMPLES, 1_000, || {
+        RowData::majority(black_box(&refs))
+    });
+}
+
 fn bench_memsim_slice() {
     let mix = &pud_memsim::workload::build_mixes(1, 3)[0];
     run_micro("memsim_20k_instr", SAMPLES, 1, || {
@@ -140,6 +160,7 @@ fn main() {
     bench_executor_loop();
     bench_hc_first_search();
     bench_fleet_sweep_serial_vs_parallel();
+    bench_dram_majority();
     bench_memsim_slice();
     eprintln!();
     eprint!(

@@ -210,6 +210,8 @@ pub struct Executor {
     batch: BatchState,
     /// Reusable flip buffer: keeps `apply_event` allocation-free.
     flip_scratch: Vec<Bitflip>,
+    /// What a never-written row reads as during charge sharing.
+    zero_row: RowData,
 }
 
 /// Commands executed between two invocations of the registered
@@ -262,6 +264,7 @@ impl Executor {
             cancel_countdown: CANCEL_CHECK_INTERVAL,
             batch: BatchState::new(),
             flip_scratch: Vec::new(),
+            zero_row: RowData::filled(geometry.cols_per_row, DataPattern::ZEROS),
         }
     }
 
@@ -936,33 +939,25 @@ impl Executor {
     }
 
     fn charge_share(&mut self, bank: BankId, members: &[RowAddr], first: RowAddr) {
-        let cols = self.chip.geometry().cols_per_row;
-        let fetch = |chip: &Chip, r: RowAddr| {
-            chip.bank(bank)
-                .ok()
-                .and_then(|b| b.row(r))
-                .cloned()
-                .unwrap_or_else(|| RowData::filled(cols, DataPattern::ZEROS))
-        };
-        let contents: Vec<RowData> = members.iter().map(|&r| fetch(&self.chip, r)).collect();
-        let result = if contents.is_empty() {
+        if members.is_empty() {
             return;
-        } else if contents.len() % 2 == 1 {
-            let refs: Vec<&RowData> = contents.iter().collect();
-            RowData::majority(&refs)
-        } else {
-            // Even group: the first-activated row's charge breaks ties.
-            let tiebreak = fetch(&self.chip, first);
-            let mut refs: Vec<&RowData> = contents.iter().collect();
-            refs.push(&tiebreak);
+        }
+        let result = {
+            let stored = self.chip.bank(bank).ok();
+            let read = |r: RowAddr| stored.and_then(|b| b.row(r)).unwrap_or(&self.zero_row);
+            let mut refs: Vec<&RowData> = members.iter().map(|&r| read(r)).collect();
+            if refs.len().is_multiple_of(2) {
+                // Even group: the first-activated row's charge breaks ties.
+                refs.push(read(first));
+            }
             RowData::majority(&refs)
         };
         for &r in members {
             self.chip
                 .bank_mut(bank)
                 .expect("valid bank")
-                .write_row(r, result.clone())
-                .expect("group within geometry");
+                .row_mut_or(r, DataPattern::ZEROS)
+                .copy_from(&result);
             self.batch.invalidate_row(bank, r);
             self.apply_stuck(bank, r);
         }

@@ -222,6 +222,88 @@ fn simra_write_probe_overwrites_whole_group() {
     }
 }
 
+/// One bitflip as `(logical row, col, to)`.
+type FlipAt = (u32, u32, bool);
+
+/// Runs 200k cycles of the even 8-row SiMRA group {32, 34, …, 46},
+/// opened by `ACT first – PRE – ACT other` for `first` 32 or 46, with
+/// only some members written. Returns the pattern every member ends up
+/// holding, the flips, and the bits of the RowHammer-class disturbance
+/// accumulated on victims 31, 33 and 47.
+fn even_simra_group_outcome(
+    first: u32,
+    written: &[(u32, u8)],
+) -> (Option<u8>, Vec<FlipAt>, [u64; 3]) {
+    let bank = BankId(0);
+    let mut exec = executor();
+    let (r1, r2) = pud_bender::simra_decode::pair_for_mask(RowAddr(40), 0b1110);
+    let group = pud_bender::simra_decode::simra_group(exec.chip().geometry(), r1, r2).unwrap();
+    assert_eq!((r1, r2, group.len()), (RowAddr(32), RowAddr(46), 8));
+    let (a, b) = if first == r1.0 { (r1, r2) } else { (r2, r1) };
+    for victim in (31..=47).step_by(2) {
+        exec.write_row(bank, RowAddr(victim), DataPattern::CHECKER_AA);
+    }
+    for &(row, byte) in written {
+        exec.write_row(bank, RowAddr(row), DataPattern(byte));
+    }
+    let d = Picos::from_ns(3.0);
+    let report = exec.run(&ops::simra(bank, a, b, d, d, ops::t_ras(), 200_000));
+    let shared = exec.read_row(bank, group[0]).expect("members are written");
+    for &m in &group {
+        assert_eq!(exec.read_row(bank, m).as_ref(), Some(&shared), "member {m}");
+    }
+    let pattern = (0..=255u8).find(|&b| shared.matches_pattern(DataPattern(b)));
+    let flips = report
+        .flips
+        .iter()
+        .map(|f| (f.logical_row.0, f.col, f.to))
+        .collect();
+    let acc = [31, 33, 47].map(|v| {
+        let (rh, simra) = exec
+            .engine()
+            .accumulated(bank, exec.chip().to_physical(RowAddr(v)));
+        assert_eq!(simra.to_bits(), 0);
+        rh.to_bits()
+    });
+    (pattern, flips, acc)
+}
+
+#[test]
+fn even_simra_group_with_unwritten_members_matches_pinned_outputs() {
+    // Five members hold data and three (32, 34, 42) were never written, so
+    // they read as zeros. Bit 0 has four ones among the eight members —
+    // a tie the first-activated row breaks. Values pinned from the per-bit
+    // majority vote.
+    let written = [(36, 0x33), (38, 0x55), (40, 0xFF), (44, 0xF0), (46, 0x1F)];
+    let flips = vec![(41, 983, false), (43, 86, true)];
+    // Row 46 first: the tie resolves to its 1.
+    assert_eq!(
+        even_simra_group_outcome(46, &written),
+        (
+            Some(0x11),
+            flips.clone(),
+            [
+                0x40e7_e189_1586_ef20,
+                0x40e8_46d7_4006_1a75,
+                0x40b3_1fc7_9e71_0da2
+            ]
+        )
+    );
+    // Never-written row 32 first: the same tie resolves to 0.
+    assert_eq!(
+        even_simra_group_outcome(32, &written),
+        (
+            Some(0x10),
+            flips,
+            [
+                0x40e6_ee18_4a1a_fd87,
+                0x40e6_a3b9_65eb_20b0,
+                0x40b2_0a20_effc_5222
+            ]
+        )
+    );
+}
+
 #[test]
 fn elapsed_time_tracks_program_duration() {
     let bank = BankId(0);

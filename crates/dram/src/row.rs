@@ -149,6 +149,14 @@ impl RowData {
     /// activation used for MAJ5/MAJ7/MAJ9 and, with constant inputs, for
     /// multi-input AND/OR (§2.3).
     ///
+    /// The vote is bit-sliced, 64 columns per word operation: for each
+    /// word, ⌈log2(N+1)⌉ counter planes hold the per-column count of ones
+    /// in binary (plane `p` is bit `p` of every column's count), and each
+    /// row is added with a ripple-carry of ANDs and XORs. A column's output
+    /// bit is `count > N/2`, taken by a bit-sliced MSB-first comparison of
+    /// the planes against the constant N/2; the tail beyond `cols` is
+    /// masked.
+    ///
     /// # Panics
     ///
     /// Panics if `rows` is empty, has an even length, or widths differ.
@@ -160,20 +168,52 @@ impl RowData {
             rows.iter().all(|r| r.cols == cols),
             "rows must have equal widths"
         );
-        let mut out = RowData::filled(cols, DataPattern::ZEROS);
         let threshold = rows.len() / 2;
-        for w in 0..out.words.len() {
-            let mut word = 0u64;
-            for bit in 0..64 {
-                let ones = rows.iter().filter(|r| (r.words[w] >> bit) & 1 == 1).count();
-                if ones > threshold {
-                    word |= 1 << bit;
+        let n_planes = (usize::BITS - rows.len().leading_zeros()) as usize;
+        let mut planes = [0u64; usize::BITS as usize];
+        let planes = &mut planes[..n_planes];
+        let words = (0..cols.div_ceil(64) as usize)
+            .map(|w| {
+                planes.fill(0);
+                for r in rows {
+                    let mut carry = r.words[w];
+                    for plane in planes.iter_mut() {
+                        if carry == 0 {
+                            break;
+                        }
+                        let next = *plane & carry;
+                        *plane ^= carry;
+                        carry = next;
+                    }
                 }
-            }
-            out.words[w] = word;
-        }
+                // `gt`: columns whose count already exceeds the threshold
+                // in the planes seen so far; `eq`: columns still equal.
+                let (mut gt, mut eq) = (0u64, u64::MAX);
+                for (p, &plane) in planes.iter().enumerate().rev() {
+                    if (threshold >> p) & 1 == 1 {
+                        eq &= plane;
+                    } else {
+                        gt |= eq & plane;
+                        eq &= !plane;
+                    }
+                }
+                gt
+            })
+            .collect();
+        let mut out = RowData { words, cols };
         out.mask_tail();
         out
+    }
+
+    /// Overwrites `self` with the contents of `other` in place, reusing
+    /// the existing storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows have different widths.
+    pub fn copy_from(&mut self, other: &RowData) {
+        assert_eq!(self.cols, other.cols, "rows must have equal widths");
+        self.words.copy_from_slice(&other.words);
     }
 
     fn mask_tail(&mut self) {

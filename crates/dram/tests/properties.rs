@@ -155,3 +155,107 @@ fn region_banding_is_stable_under_scaling() {
         assert_eq!(a, b);
     }
 }
+
+/// Per-column vote, one bit at a time: the reference the bit-sliced
+/// `RowData::majority` must match.
+fn naive_majority(rows: &[RowData]) -> RowData {
+    let cols = rows[0].cols();
+    let mut out = RowData::filled(cols, DataPattern::ZEROS);
+    for col in 0..cols {
+        let ones = rows.iter().filter(|r| r.bit(col)).count();
+        out.set_bit(col, ones > rows.len() / 2);
+    }
+    out
+}
+
+/// A row of `cols` random bits; `density` 0/1/2 biases them sparse
+/// (AND of two draws), uniform, or dense (OR of two draws).
+fn random_row(seed: u64, case: u64, tag: u64, cols: u32, density: u64) -> RowData {
+    let mut row = RowData::filled(cols, DataPattern::ZEROS);
+    for w in 0..cols.div_ceil(64) {
+        let a = rng::mix_all(&[seed, case, tag, u64::from(w), 0]);
+        let b = rng::mix_all(&[seed, case, tag, u64::from(w), 1]);
+        let word = match density {
+            0 => a & b,
+            1 => a,
+            _ => a | b,
+        };
+        for bit in 0..64.min(cols - w * 64) {
+            row.set_bit(w * 64 + bit, (word >> bit) & 1 == 1);
+        }
+    }
+    row
+}
+
+fn majority_of(rows: &[RowData]) -> RowData {
+    let refs: Vec<&RowData> = rows.iter().collect();
+    RowData::majority(&refs)
+}
+
+const MAJORITY_WIDTHS: [u32; 6] = [1, 63, 64, 65, 1000, 1024];
+
+#[test]
+fn majority_matches_per_column_vote_on_random_rows() {
+    for n in (1..=65u64).step_by(2) {
+        for (wi, &cols) in MAJORITY_WIDTHS.iter().enumerate() {
+            for density in 0..3u64 {
+                let case = (n * 8 + wi as u64) * 4 + density;
+                let rows: Vec<RowData> = (0..n)
+                    .map(|i| random_row(0xD7, case, i, cols, density))
+                    .collect();
+                assert_eq!(
+                    majority_of(&rows),
+                    naive_majority(&rows),
+                    "N={n} cols={cols} density={density}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn majority_decides_every_vote_count_exactly() {
+    // Column c gets exactly c mod (N+1) ones, so every count from 0 to N —
+    // in particular N/2 and N/2+1 — is decided at every width.
+    for n in (1..=65u32).step_by(2) {
+        for &cols in &MAJORITY_WIDTHS {
+            let mut rows = vec![RowData::filled(cols, DataPattern::ZEROS); n as usize];
+            for col in 0..cols {
+                for row in rows.iter_mut().take((col % (n + 1)) as usize) {
+                    row.set_bit(col, true);
+                }
+            }
+            let out = majority_of(&rows);
+            assert_eq!(out, naive_majority(&rows), "N={n} cols={cols}");
+            for col in 0..cols {
+                assert_eq!(out.bit(col), col % (n + 1) > n / 2, "N={n} col={col}");
+            }
+        }
+    }
+}
+
+#[test]
+fn majority_of_equal_rows_is_that_row() {
+    // N = 33 is the SiMRA-32 group plus its first-activated tie-break row.
+    for n in [1usize, 3, 33, 65] {
+        for (wi, &cols) in MAJORITY_WIDTHS.iter().enumerate() {
+            for row in [
+                RowData::filled(cols, DataPattern::ZEROS),
+                RowData::filled(cols, DataPattern::ONES),
+                random_row(0xD8, (n * 8 + wi) as u64, 0, cols, 1),
+            ] {
+                assert_eq!(majority_of(&vec![row.clone(); n]), row, "N={n} cols={cols}");
+            }
+        }
+    }
+}
+
+#[test]
+fn copy_from_overwrites_in_place() {
+    for (case, &cols) in MAJORITY_WIDTHS.iter().enumerate() {
+        let src = random_row(0xD9, case as u64, 0, cols, 1);
+        let mut dst = RowData::filled(cols, DataPattern::ONES);
+        dst.copy_from(&src);
+        assert_eq!(dst, src);
+    }
+}

@@ -91,6 +91,9 @@ pub struct Prac {
     mitigation: Mitigation,
     rows_per_bank: u32,
     counters: Vec<Vec<u64>>,
+    /// Per bank, the rows whose counter has reached the RDT since the
+    /// bank's last back-off — each listed once, when it crosses.
+    saturated: Vec<Vec<u32>>,
     rfms_serviced: u64,
     backoffs_metric: Arc<Counter>,
     rfm_metric: Arc<Counter>,
@@ -110,6 +113,7 @@ impl Prac {
             mitigation,
             rows_per_bank,
             counters: vec![vec![0; rows]; banks],
+            saturated: vec![Vec::new(); banks],
             rfms_serviced: 0,
             backoffs_metric: pud_observe::counter("memsim.abo_backoffs"),
             rfm_metric: pud_observe::counter("memsim.rfm_issued"),
@@ -142,9 +146,13 @@ impl Prac {
         let w = self.mitigation.weight(kind);
         let rdt = self.mitigation.rdt();
         let table = &mut self.counters[bank];
+        let saturated = &mut self.saturated[bank];
         let mut alert = false;
         for &r in rows {
             let c = &mut table[r as usize];
+            if *c < rdt && *c + w >= rdt {
+                saturated.push(r);
+            }
             *c += w;
             if *c >= rdt {
                 alert = true;
@@ -168,13 +176,11 @@ impl Prac {
     /// blocked for `t_RFM` per command while the alert is being cleared
     /// (the DDR5 ABO protocol drains the channel).
     pub fn service_alert(&mut self, bank: usize) -> u64 {
-        let rdt = self.mitigation.rdt();
-        let mut rfms = 0;
-        for c in &mut self.counters[bank] {
-            if *c >= rdt {
-                *c = 0;
-                rfms += 1;
-            }
+        let table = &mut self.counters[bank];
+        let saturated = &mut self.saturated[bank];
+        let rfms = saturated.len() as u64;
+        for r in saturated.drain(..) {
+            table[r as usize] = 0;
         }
         self.rfms_serviced += rfms;
         self.backoffs_metric.incr();
@@ -284,5 +290,26 @@ mod tests {
         }
         assert_eq!(p.service_alert(0), 1, "one RFM per saturated row");
         assert_eq!(p.max_counter(0), 5, "unsaturated counters persist");
+    }
+
+    #[test]
+    fn rows_saturated_past_the_rdt_get_one_rfm_per_backoff() {
+        let mut p = Prac::new(Mitigation::PracPoWeighted, 2, 64);
+        let rows: Vec<u32> = (0..32).collect();
+        // 25 ops × 200 take every row past the RDT of 4000, yet each row
+        // is serviced once; the other bank is untouched.
+        for _ in 0..25 {
+            p.on_activation(1, &rows, ActKind::Simra, 47);
+        }
+        assert_eq!(p.service_alert(0), 0);
+        assert_eq!(p.service_alert(1), 32);
+        assert_eq!(p.max_counter(1), 0);
+        assert_eq!(p.service_alert(1), 0, "the back-off cleared the bank");
+        // Reset rows count from zero again and re-saturate.
+        for _ in 0..20 {
+            p.on_activation(1, &rows[..4], ActKind::Simra, 47);
+        }
+        assert_eq!(p.service_alert(1), 4);
+        assert_eq!(p.rfm_count(), 36);
     }
 }

@@ -23,8 +23,6 @@ struct MemRequest {
     bank: usize,
     row: u32,
     kind: ActKind,
-    write: bool,
-    arrival: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -238,16 +236,12 @@ pub fn run_mix(
                 bank: pud_bank,
                 row: 0,
                 kind: ActKind::Simra,
-                write: false,
-                arrival: now,
             });
             queue.push(MemRequest {
                 core: usize::MAX,
                 bank: pud_bank,
                 row: PUD_SIMRA_ROWS,
                 kind: ActKind::Comra,
-                write: false,
-                arrival: now,
             });
             pud_ops += 2;
             next_pud += pud_period_ns.expect("pud enabled");
@@ -363,8 +357,6 @@ fn step_core(
             bank,
             row,
             kind: ActKind::Normal,
-            write,
-            arrival: now,
         };
         if !write {
             core.outstanding += 1;

@@ -320,6 +320,8 @@ fn run_once(
     rep: u32,
     trace: Option<&SharedSink>,
 ) -> u64 {
+    // One span per evasion run, so Fig. 24's profile splits into its runs.
+    let _span = pud_observe::span("trr.evasion_run");
     // One evasion run is the cancellation grace unit for this experiment.
     crate::fleet::supervisor::poll_cancel();
     let geometry = scale.fleet.geometry;

@@ -8,7 +8,7 @@ use pudhammer_suite::bender::fault::FaultConfig;
 
 use pudhammer_suite::bender::ops;
 use pudhammer_suite::dram::RowAddr;
-use pudhammer_suite::hammer::experiments::{simra, table2, Scale};
+use pudhammer_suite::hammer::experiments::{simra, table2, trr_eval, Scale};
 use pudhammer_suite::hammer::fleet::{sweep, Fleet, FleetConfig};
 use pudhammer_suite::observe::{profile, RingBufferSink, SharedSink, TraceEvent};
 
@@ -200,6 +200,32 @@ fn profiled_sweeps_keep_output_and_tree_shape_thread_invariant() {
         roots as f64 >= measured as f64 * 0.95,
         "root spans cover {roots} of {measured} measured ns"
     );
+}
+
+#[test]
+fn fig24_profile_has_one_span_per_evasion_run_at_any_thread_count() {
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let profiled_run = |threads| {
+        let mut scale = tiny_scale(threads);
+        scale.trr_hammers = 2_000;
+        profile::reset();
+        profile::enable();
+        let fig = trr_eval::fig24(&scale);
+        profile::disable();
+        (fig.to_string(), fig.rows.len(), profile::snapshot())
+    };
+    let (serial, techniques, nodes_serial) = profiled_run(1);
+    let (parallel, _, nodes_parallel) = profiled_run(2);
+    profile::reset();
+    assert_eq!(serial, parallel, "fig24 output must not depend on threads");
+    let shape = tree_shape(&nodes_serial);
+    assert_eq!(shape, tree_shape(&nodes_parallel), "thread-invariant tree");
+    // Two repetitions, each with and without TRR, per technique.
+    let runs = shape
+        .iter()
+        .find(|(path, ..)| path == "experiment.fig24;trr.evasion_run")
+        .expect("evasion runs nest under the driver span");
+    assert_eq!(runs.1, 4 * techniques as u64);
 }
 
 /// Replaces the run-dependent nanosecond fields of a folded rendering with
